@@ -234,7 +234,6 @@ fn run_stream(
     let method = match scheme {
         RefineScheme::BoundaryFm => "stream+mlga",
         RefineScheme::ParallelFm => "stream+mlga-pfm",
-        RefineScheme::ParallelFmRescan => "stream+mlga-pfm-rescan",
         RefineScheme::Sweep => "stream+mlga-sweep",
     };
     let trace = generate(

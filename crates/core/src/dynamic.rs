@@ -37,9 +37,8 @@
 use crate::error::GaError;
 use crate::incremental::{extend_partition_balanced, greedy_neighbor_assign};
 use gapart_graph::dynamic::{apply_batch, Mutation};
-use gapart_graph::fm::{FmRefiner, ParallelFm};
 use gapart_graph::partition::cut_size;
-use gapart_graph::refine::{refine_kway_local, RefineOptions, RefineScheme, RefineStats};
+use gapart_graph::refine::{RefineOptions, RefineScheme, RefineStats, RefinerSet};
 use gapart_graph::{CsrGraph, GraphError, Partition, Partitioner, PartitionerError};
 
 /// Errors surfaced by a [`DynamicSession`].
@@ -441,14 +440,10 @@ pub struct DynamicSession {
     epoch: usize,
     batches: usize,
     history: Vec<BatchRecord>,
-    /// Reusable boundary-FM workspace (gain buckets, degree caches):
-    /// batch refinement under [`RefineScheme::BoundaryFm`] touches only
-    /// the dirty frontier's buckets and allocates nothing steady-state.
-    fm: FmRefiner,
-    /// Reusable parallel-FM workspace for
-    /// [`RefineScheme::ParallelFm`] — the same frontier-local contract,
-    /// with colored conflict-free move batches applied per round.
-    pfm: ParallelFm,
+    /// Reusable refinement workspaces (FM gain buckets, degree caches):
+    /// batch refinement touches only the dirty frontier and allocates
+    /// nothing steady-state.
+    refiners: RefinerSet,
 }
 
 impl std::fmt::Debug for DynamicSession {
@@ -489,8 +484,7 @@ impl DynamicSession {
             epoch: 1,
             batches: 0,
             history: Vec::new(),
-            fm: FmRefiner::new(),
-            pfm: ParallelFm::new(),
+            refiners: RefinerSet::default(),
         })
     }
 
@@ -594,8 +588,7 @@ impl DynamicSession {
             epoch: state.epoch,
             batches: state.batches,
             history: Vec::new(),
-            fm: FmRefiner::new(),
-            pfm: ParallelFm::new(),
+            refiners: RefinerSet::default(),
         }
     }
 
@@ -740,25 +733,13 @@ impl DynamicSession {
         //    rebuilds only the frontier's buckets inside the session's
         //    persistent workspace.
         let frontier = dirty.frontier(&graph, self.config.frontier_hops);
-        let refine = match self.config.refine_scheme {
-            RefineScheme::BoundaryFm => {
-                self.fm
-                    .refine_local(&graph, &mut partition, &self.config.refine, seed, &frontier)
-            }
-            RefineScheme::ParallelFm | RefineScheme::ParallelFmRescan => {
-                // Same engine, two eval-table modes (identical results);
-                // the persistent workspace serves both.
-                self.pfm.set_full_rescan(matches!(
-                    self.config.refine_scheme,
-                    RefineScheme::ParallelFmRescan
-                ));
-                self.pfm
-                    .refine_local(&graph, &mut partition, &self.config.refine, seed, &frontier)
-            }
-            RefineScheme::Sweep => {
-                refine_kway_local(&graph, &mut partition, &self.config.refine, &frontier)
-            }
-        };
+        let refine = self.refiners.get(self.config.refine_scheme).refine_local(
+            &graph,
+            &mut partition,
+            &self.config.refine,
+            seed,
+            &frontier,
+        );
         let mut cut_after = cut_seeded - refine.gain;
         debug_assert_eq!(cut_after, cut_size(&graph, &partition));
 
@@ -1076,6 +1057,14 @@ mod tests {
             SessionSpec::parse_kv("parts=2 refine=quantum").unwrap_err(),
             SpecError::BadValue { .. }
         ));
+        // The full-rescan FM is a test reference, not a session engine.
+        assert_eq!(
+            SessionSpec::parse_kv("parts=4 refine=pfm-rescan").unwrap_err(),
+            SpecError::BadValue {
+                key: "refine".into(),
+                value: "pfm-rescan".into()
+            }
+        );
         assert!(matches!(
             SessionSpec::parse_kv("parts=2 threshold=-1").unwrap_err(),
             SpecError::BadValue { .. }

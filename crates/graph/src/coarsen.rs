@@ -27,9 +27,9 @@
 //! bit-identical for any worker-pool size.
 
 use crate::csr::{CsrGraph, SmallCsr};
-use crate::fm::{FmRefiner, ParallelFm};
 use crate::geometry::Point2;
 use crate::partition::Partition;
+use crate::refine::RefinerSet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -84,7 +84,7 @@ impl Coarsening {
     }
 
     /// [`Coarsening::project`] fused with everything the hinted
-    /// boundary-FM refiner ([`crate::fm::FmRefiner::refine_primed`])
+    /// boundary-FM refiner ([`crate::refine::Refiner::refine_primed`])
     /// needs, collected in the same single pass over the fine vertices:
     /// per-part loads and populations of the projected partition, and
     /// the *boundary hint* — every fine vertex whose coarse node is
@@ -183,8 +183,7 @@ pub struct LevelArena {
     // V-cycle: coarse boundary mask for the fused projection.
     pub(crate) mask: Vec<bool>,
     // Refinement engine workspaces, kept warm across levels and calls.
-    pub(crate) fm: FmRefiner,
-    pub(crate) pfm: ParallelFm,
+    pub(crate) refiners: RefinerSet,
 }
 
 impl Default for LevelArena {
@@ -204,8 +203,7 @@ impl LevelArena {
             rep: Vec::new(),
             rows: Vec::new(),
             mask: Vec::new(),
-            fm: FmRefiner::new(),
-            pfm: ParallelFm::new(),
+            refiners: RefinerSet::default(),
         }
     }
 }

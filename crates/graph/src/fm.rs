@@ -50,8 +50,10 @@
 //! [`FmRefiner`] owns every buffer the engine needs and recycles them
 //! across calls; the streaming layer keeps one per session so a batch's
 //! dirty-frontier refinement allocates nothing beyond first-use growth
-//! (see `gapart_core::dynamic::DynamicSession`). One-shot callers can
-//! use the [`refine_fm`] / [`refine_fm_local`] conveniences.
+//! (see `gapart_core::dynamic::DynamicSession`). Both engines in this
+//! module implement [`Refiner`], whose provided methods are their entry
+//! points. One-shot callers can use the [`refine_fm`] /
+//! [`refine_fm_local`] conveniences.
 //!
 //! # Parallel FM
 //!
@@ -71,7 +73,7 @@
 use crate::coarsen::splitmix64;
 use crate::csr::CsrGraph;
 use crate::partition::Partition;
-use crate::refine::{RefineOptions, RefineStats};
+use crate::refine::{RefineOptions, RefineStats, Refiner};
 use rayon::prelude::*;
 
 /// Sentinel for "no node" in the bucket links.
@@ -189,143 +191,6 @@ impl FmRefiner {
         }
     }
 
-    /// Boundary-FM refinement over the whole graph: every vertex is a
-    /// candidate, but only the cut boundary enters the buckets.
-    ///
-    /// Never increases the cut; the reported `gain` is the exact cut
-    /// reduction. Same balance and never-empty-a-part contract as
-    /// [`crate::refine::refine_kway`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`.
-    pub fn refine(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-    ) -> RefineStats {
-        self.run(graph, partition, opts, seed, None, None, None)
-    }
-
-    /// [`FmRefiner::refine`] with a boundary *hint*: `hint` must contain
-    /// every vertex currently on the cut boundary (it may contain more —
-    /// internal vertices are skipped — and duplicates are tolerated).
-    /// The first pass then scans only
-    /// the hint instead of the whole graph; moves are **not** restricted
-    /// to it, and the result is bit-identical to [`FmRefiner::refine`]
-    /// (asserted in tests).
-    ///
-    /// This is the multilevel fast path: after projecting a coarse
-    /// partition, the fine boundary is exactly the preimage of the
-    /// coarse boundary (a cut fine edge maps to a cut coarse edge), so
-    /// the V-cycle hands that preimage over and skips the `O(V + E)`
-    /// boundary discovery on every level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`, or if `hint` contains a node id `≥ graph.num_nodes()`.
-    /// A hint that *misses* boundary vertices is not detected — it
-    /// merely refines a subset (callers own the superset argument).
-    pub fn refine_hinted(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        hint: &[u32],
-    ) -> RefineStats {
-        if let Some(&max) = hint.iter().max() {
-            assert!(
-                (max as usize) < graph.num_nodes(),
-                "hint node {max} out of range"
-            );
-        }
-        self.run(graph, partition, opts, seed, None, Some(hint), None)
-    }
-
-    /// The multilevel fast path: [`FmRefiner::refine_hinted`] that also
-    /// takes the partition's per-part `loads` and `counts` instead of
-    /// re-tallying them — [`crate::coarsen::Coarsening::project_for_fm`]
-    /// produces all three in the projection pass itself, so an
-    /// uncoarsening level runs zero extra full-vertex scans. The caller
-    /// owns the exactness of the tallies (debug-asserted).
-    #[allow(clippy::too_many_arguments)]
-    pub fn refine_primed(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        hint: &[u32],
-        loads: Vec<u64>,
-        counts: Vec<usize>,
-    ) -> RefineStats {
-        if let Some(&max) = hint.iter().max() {
-            assert!(
-                (max as usize) < graph.num_nodes(),
-                "hint node {max} out of range"
-            );
-        }
-        self.run(
-            graph,
-            partition,
-            opts,
-            seed,
-            None,
-            Some(hint),
-            Some((loads, counts)),
-        )
-    }
-
-    /// Localized variant: only vertices in `region` (deduplicated; order
-    /// irrelevant) may move. Loads and part populations are still global,
-    /// so the balance and never-empty-a-part rules hold for the whole
-    /// partition. This is the streaming workhorse: after a mutation
-    /// batch only the dirty frontier's buckets are (re)built, so a batch
-    /// costs `O(|region| · deg)` plus one `O(V)` load tally — never a
-    /// full edge-set rescan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`, or if `region` contains a node id `≥ graph.num_nodes()`.
-    pub fn refine_local(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        region: &[u32],
-    ) -> RefineStats {
-        let mut nodes: Vec<u32> = region.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        if let Some(&last) = nodes.last() {
-            assert!(
-                (last as usize) < graph.num_nodes(),
-                "region node {last} out of range"
-            );
-        }
-        self.run(graph, partition, opts, seed, Some(&nodes), None, None)
-    }
-
-    /// A superset of the cut boundary the last refine on this workspace
-    /// left behind: the final pass's queue plus the neighbourhood of its
-    /// moves (empty when the last refine found no boundary at all).
-    /// Valid for the graph/partition of that call until the next one.
-    ///
-    /// The multilevel V-cycle masks this instead of re-scanning the
-    /// coarse graph with `boundary_nodes` before each projection —
-    /// supersets compose: hints built from it stay supersets of the
-    /// fine boundary, so refinement results are unchanged.
-    pub fn last_boundary_superset(&self) -> &[u32] {
-        &self.active_list
-    }
-
     /// Grows the per-node buffers to cover `n` nodes.
     fn ensure_nodes(&mut self, n: usize) {
         if self.next.len() < n {
@@ -338,8 +203,11 @@ impl FmRefiner {
             self.active.resize(n, 0);
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
+/// Boundary FM: every candidate may move, but only the cut boundary
+/// enters the buckets.
+impl Refiner for FmRefiner {
     fn run(
         &mut self,
         graph: &CsrGraph,
@@ -375,34 +243,9 @@ impl FmRefiner {
             |stamp: &[u64], v: u32| -> bool { region.is_none() || stamp[v as usize] == generation };
 
         // Global load/population tally (same balance model as the sweep
-        // refiner) — taken from the caller when primed (the fused
-        // projection pass already produced it; the loads then also give
-        // the total weight, skipping the O(V) re-sum), tallied here
-        // otherwise.
-        match primed {
-            Some((loads, counts)) => {
-                debug_assert_eq!(loads.len(), n_parts);
-                debug_assert_eq!(counts.len(), n_parts);
-                debug_assert_eq!(
-                    loads.iter().sum::<u64>(),
-                    graph.total_node_weight(),
-                    "primed loads do not tally the graph"
-                );
-                debug_assert_eq!(counts.iter().sum::<usize>(), n, "primed counts mismatch");
-                self.loads = loads;
-                self.counts = counts;
-            }
-            None => {
-                self.loads.clear();
-                self.loads.resize(n_parts, 0);
-                self.counts.clear();
-                self.counts.resize(n_parts, 0);
-                for v in 0..n as u32 {
-                    self.loads[partition.part(v) as usize] += graph.node_weight(v) as u64;
-                    self.counts[partition.part(v) as usize] += 1;
-                }
-            }
-        }
+        // refiner); primed loads also give the total weight, skipping
+        // the O(V) re-sum.
+        tally_parts(graph, partition, primed, &mut self.loads, &mut self.counts);
         let avg = self.loads.iter().sum::<u64>() as f64 / n_parts as f64;
         let max_load = (avg * (1.0 + opts.balance_slack)).ceil() as u64;
         // Diminishing-returns convergence: the first pass observes the
@@ -434,6 +277,13 @@ impl FmRefiner {
         stats
     }
 
+    /// The final pass's queue plus the neighbourhood of its moves.
+    fn last_boundary_superset(&self) -> &[u32] {
+        &self.active_list
+    }
+}
+
+impl FmRefiner {
     /// One FM pass: fill the buckets from the boundary, chain moves with
     /// hill climbing, roll back to the best prefix. Returns
     /// `(moves kept, exact cut reduction)`.
@@ -735,6 +585,47 @@ impl FmRefiner {
     }
 }
 
+/// Fills `loads` / `counts` with the partition's per-part node weights
+/// and populations: moved in from `primed` when the caller already
+/// tallied them (exactness debug-asserted), counted here otherwise.
+fn tally_parts(
+    graph: &CsrGraph,
+    partition: &Partition,
+    primed: Option<(Vec<u64>, Vec<usize>)>,
+    loads: &mut Vec<u64>,
+    counts: &mut Vec<usize>,
+) {
+    let n_parts = partition.num_parts() as usize;
+    match primed {
+        Some((primed_loads, primed_counts)) => {
+            debug_assert_eq!(primed_loads.len(), n_parts);
+            debug_assert_eq!(primed_counts.len(), n_parts);
+            debug_assert_eq!(
+                primed_loads.iter().sum::<u64>(),
+                graph.total_node_weight(),
+                "primed loads do not tally the graph"
+            );
+            debug_assert_eq!(
+                primed_counts.iter().sum::<usize>(),
+                graph.num_nodes(),
+                "primed counts mismatch"
+            );
+            *loads = primed_loads;
+            *counts = primed_counts;
+        }
+        None => {
+            loads.clear();
+            loads.resize(n_parts, 0);
+            counts.clear();
+            counts.resize(n_parts, 0);
+            for v in 0..graph.num_nodes() as u32 {
+                loads[partition.part(v) as usize] += graph.node_weight(v) as u64;
+                counts[partition.part(v) as usize] += 1;
+            }
+        }
+    }
+}
+
 /// Accumulates `v`'s connectivity per foreign part into `conn` (cleared
 /// first) and returns `(internal, external)` weighted degrees against
 /// the live partition — the one neighbour scan both the bucket priority
@@ -994,7 +885,7 @@ pub struct ParallelFm {
     stamp: Vec<u64>,
     generation: u64,
     /// Dedup stamps + list for the next-pass active set — also the
-    /// boundary superset [`ParallelFm::last_boundary_superset`] reports.
+    /// boundary superset [`Refiner::last_boundary_superset`] reports.
     active: Vec<u64>,
     active_gen: u64,
     active_list: Vec<u32>,
@@ -1067,136 +958,14 @@ impl ParallelFm {
     /// entire candidate list from scratch instead of repairing the
     /// table incrementally. Produces bit-identical results to
     /// [`ParallelFm::new`] (the incremental table is asserted against
-    /// this very scan in debug builds); exists so tests and the CI
-    /// determinism matrix can pin the equivalence at pipeline level.
+    /// this very scan in debug builds). A test reference only: no
+    /// [`crate::refine::RefineScheme`] selects it, and the determinism
+    /// tests pin the equivalence against it at pipeline level.
     pub fn full_rescan() -> Self {
         ParallelFm {
             rescan_every_round: true,
             ..Self::new()
         }
-    }
-
-    /// Switches between the incremental default (`false`) and the
-    /// full-rescan reference mode (`true`) on an existing workspace.
-    /// The mode only selects *how* the per-round eval table is produced
-    /// — both produce the same table — so it can be flipped between
-    /// calls without affecting results.
-    pub fn set_full_rescan(&mut self, on: bool) {
-        self.rescan_every_round = on;
-    }
-
-    /// Parallel boundary-FM refinement over the whole graph. Never
-    /// increases the cut; the reported `gain` is the exact cut
-    /// reduction. Same balance and never-empty-a-part contract as
-    /// [`FmRefiner::refine`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`.
-    pub fn refine(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-    ) -> RefineStats {
-        self.run(graph, partition, opts, seed, None, None, None)
-    }
-
-    /// [`ParallelFm::refine`] with a boundary *hint* — the same contract
-    /// as [`FmRefiner::refine_hinted`]: `hint` must be a superset of the
-    /// cut boundary (duplicates tolerated); only the first scan narrows,
-    /// never the behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`, or if `hint` contains a node id `≥ graph.num_nodes()`.
-    pub fn refine_hinted(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        hint: &[u32],
-    ) -> RefineStats {
-        if let Some(&max) = hint.iter().max() {
-            assert!(
-                (max as usize) < graph.num_nodes(),
-                "hint node {max} out of range"
-            );
-        }
-        self.run(graph, partition, opts, seed, None, Some(hint), None)
-    }
-
-    /// The multilevel fast path — the same contract as
-    /// [`FmRefiner::refine_primed`]: a boundary-superset hint plus the
-    /// per-part `loads` / `counts` the fused projection already tallied
-    /// (exactness debug-asserted, owned by the caller).
-    #[allow(clippy::too_many_arguments)]
-    pub fn refine_primed(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        hint: &[u32],
-        loads: Vec<u64>,
-        counts: Vec<usize>,
-    ) -> RefineStats {
-        if let Some(&max) = hint.iter().max() {
-            assert!(
-                (max as usize) < graph.num_nodes(),
-                "hint node {max} out of range"
-            );
-        }
-        self.run(
-            graph,
-            partition,
-            opts,
-            seed,
-            None,
-            Some(hint),
-            Some((loads, counts)),
-        )
-    }
-
-    /// Localized variant — the same contract as
-    /// [`FmRefiner::refine_local`]: only vertices in `region` may move;
-    /// loads and populations stay global.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`, or if `region` contains a node id `≥ graph.num_nodes()`.
-    pub fn refine_local(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        region: &[u32],
-    ) -> RefineStats {
-        let mut nodes: Vec<u32> = region.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        if let Some(&last) = nodes.last() {
-            assert!(
-                (last as usize) < graph.num_nodes(),
-                "region node {last} out of range"
-            );
-        }
-        self.run(graph, partition, opts, seed, Some(&nodes), None, None)
-    }
-
-    /// A superset of the cut boundary the last refine on this workspace
-    /// left behind — the same contract as
-    /// [`FmRefiner::last_boundary_superset`], so the multilevel V-cycle
-    /// chains boundary supersets through `project_for_fm` identically
-    /// for either engine.
-    pub fn last_boundary_superset(&self) -> &[u32] {
-        &self.active_list
     }
 
     /// Grows the per-node buffers to cover `n` nodes.
@@ -1244,8 +1013,11 @@ impl ParallelFm {
             "incremental eval table diverged from a full frozen scan"
         );
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
+/// Parallel boundary FM: the same contract as [`FmRefiner`], with
+/// colored conflict-free move batches applied per round.
+impl Refiner for ParallelFm {
     fn run(
         &mut self,
         graph: &CsrGraph,
@@ -1273,32 +1045,8 @@ impl ParallelFm {
             }
         }
 
-        // Same balance model and primed-tally contract as the
-        // sequential engine.
-        match primed {
-            Some((loads, counts)) => {
-                debug_assert_eq!(loads.len(), n_parts);
-                debug_assert_eq!(counts.len(), n_parts);
-                debug_assert_eq!(
-                    loads.iter().sum::<u64>(),
-                    graph.total_node_weight(),
-                    "primed loads do not tally the graph"
-                );
-                debug_assert_eq!(counts.iter().sum::<usize>(), n, "primed counts mismatch");
-                self.loads = loads;
-                self.counts = counts;
-            }
-            None => {
-                self.loads.clear();
-                self.loads.resize(n_parts, 0);
-                self.counts.clear();
-                self.counts.resize(n_parts, 0);
-                for v in 0..n as u32 {
-                    self.loads[partition.part(v) as usize] += graph.node_weight(v) as u64;
-                    self.counts[partition.part(v) as usize] += 1;
-                }
-            }
-        }
+        // Same balance model as the sequential engine.
+        tally_parts(graph, partition, primed, &mut self.loads, &mut self.counts);
         let avg = self.loads.iter().sum::<u64>() as f64 / n_parts as f64;
         let max_load = (avg * (1.0 + opts.balance_slack)).ceil() as u64;
         // Same diminishing-returns convergence cutoff as the sequential
@@ -1325,6 +1073,14 @@ impl ParallelFm {
         stats
     }
 
+    /// The same superset contract as [`FmRefiner`]'s, so the V-cycle
+    /// chains boundary supersets identically for either engine.
+    fn last_boundary_superset(&self) -> &[u32] {
+        &self.active_list
+    }
+}
+
+impl ParallelFm {
     /// One parallel-FM pass (rounds of evaluate → select → apply, then
     /// rollback to the best prefix). Returns
     /// `(moves kept, exact cut reduction, observed boundary cut)`.
@@ -1671,7 +1427,7 @@ impl ParallelFm {
     }
 }
 
-/// One-shot [`FmRefiner::refine`] with a fresh workspace.
+/// One-shot [`Refiner::refine`] on a fresh [`FmRefiner`].
 pub fn refine_fm(
     graph: &CsrGraph,
     partition: &mut Partition,
@@ -1681,7 +1437,7 @@ pub fn refine_fm(
     FmRefiner::new().refine(graph, partition, opts, seed)
 }
 
-/// One-shot [`FmRefiner::refine_local`] with a fresh workspace.
+/// One-shot [`Refiner::refine_local`] on a fresh [`FmRefiner`].
 pub fn refine_fm_local(
     graph: &CsrGraph,
     partition: &mut Partition,
@@ -1834,6 +1590,12 @@ mod tests {
         assert!(strict_wins > 0, "FM never beat the sweep on any seed");
     }
 
+    /// Per-part loads and populations, tallied independently of the
+    /// engines for their primed entry point.
+    fn tallies(g: &CsrGraph, p: &Partition) -> (Vec<u64>, Vec<usize>) {
+        (PartitionMetrics::compute(g, p).part_loads, p.part_sizes())
+    }
+
     #[test]
     fn hinted_refine_is_bit_identical_to_full_refine() {
         // Any superset of the boundary — here the exact boundary, a
@@ -1858,7 +1620,16 @@ mod tests {
             duplicated.push(boundary[0]);
             for hint in [&boundary, &padded, &duplicated] {
                 let mut hinted = base.clone();
-                let sh = FmRefiner::new().refine_hinted(&g, &mut hinted, &opts(0.1, 6), SEED, hint);
+                let (loads, counts) = tallies(&g, &base);
+                let sh = FmRefiner::new().refine_primed(
+                    &g,
+                    &mut hinted,
+                    &opts(0.1, 6),
+                    SEED,
+                    hint,
+                    loads,
+                    counts,
+                );
                 assert_eq!(full, hinted, "hinted run diverged (seed {seed})");
                 assert_eq!(sf, sh);
             }
@@ -2042,8 +1813,16 @@ mod tests {
             let mut full = base.clone();
             let sf = ParallelFm::new().refine(&g, &mut full, &opts(0.1, 6), SEED);
             let mut hinted = base.clone();
-            let sh =
-                ParallelFm::new().refine_hinted(&g, &mut hinted, &opts(0.1, 6), SEED, &boundary);
+            let (loads, counts) = tallies(&g, &base);
+            let sh = ParallelFm::new().refine_primed(
+                &g,
+                &mut hinted,
+                &opts(0.1, 6),
+                SEED,
+                &boundary,
+                loads,
+                counts,
+            );
             assert_eq!(full, hinted, "hinted run diverged (seed {seed})");
             assert_eq!(sf, sh);
         }

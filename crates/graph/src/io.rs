@@ -107,13 +107,17 @@ pub fn from_metis(text: &str) -> Result<CsrGraph, GraphError> {
     };
 
     let mut b = GraphBuilder::with_nodes(n);
-    let mut vweights = vec![1u32; n];
+    // Every vertex needs its own line, so no valid document holds more
+    // nodes than bytes: capping the header's claim by the input length
+    // keeps a 14-byte header from asking for gigabytes. A header that
+    // overstates the node count fails in the row loop below.
+    let mut vweights = Vec::with_capacity(n.min(text.len()));
     let mut rows = 0usize;
     // Every directed adjacency entry, as (min, max, from_lower_row, w,
     // line): after parsing, each {a, b} group must carry the same weight
     // multiset from both rows — the symmetry check below.
     let mut entries: Vec<(u32, u32, bool, u32, usize)> = Vec::new();
-    #[allow(clippy::needless_range_loop, clippy::explicit_counter_loop)]
+    #[allow(clippy::explicit_counter_loop)]
     for v in 0..n {
         let (lno, line) = lines.next().ok_or(GraphError::Parse {
             line: hline,
@@ -133,7 +137,9 @@ pub fn from_metis(text: &str) -> Result<CsrGraph, GraphError> {
                     line: lno,
                     message: "bad vertex weight".into(),
                 })?;
-            vweights[v] = w;
+            vweights.push(w);
+        } else {
+            vweights.push(1);
         }
         while let Some(tok) = toks.next() {
             let nbr1: usize = tok.parse().map_err(|_| GraphError::Parse {
@@ -391,6 +397,25 @@ mod tests {
         // Symmetric doubled edges still merge by summing, as before.
         let g = from_metis("2 1 001\n2 4 2 5\n1 4 1 5\n").unwrap();
         assert_eq!(g.edge_weight(0, 1), Some(9));
+    }
+
+    #[test]
+    fn rejects_a_node_count_beyond_the_document_before_allocating() {
+        // A header-only document claiming ~10^11 nodes: sizing buffers by
+        // the header would abort the process on allocation failure.
+        let err = from_metis("99999999999 0\n").unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::Parse {
+                line: 1,
+                message: "expected 99999999999 vertex lines, got 0".into(),
+            }
+        );
+        let err = from_metis("% c\n3 1\n2\n1\n").unwrap_err();
+        assert!(
+            err.to_string().contains("expected 3 vertex lines, got 2"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! * [`multilevel`] — the generic multilevel V-cycle:
 //!   [`multilevel::MultilevelPartitioner`] wraps *any* [`Partitioner`]
 //!   with coarsen → partition → project + refine.
-//! * [`refine`] — the shared k-way greedy sweep refinement plus the
-//!   [`refine::RefineScheme`] dispatch the V-cycle runs after each
-//!   projection.
+//! * [`refine`] — the shared k-way greedy sweep refinement, the
+//!   [`refine::Refiner`] trait every engine implements, and the
+//!   [`refine::RefinerSet`] that maps a [`refine::RefineScheme`] to its
+//!   engine after each projection or streaming batch.
 //! * [`fm`] — the boundary-driven k-way Fiduccia–Mattheyses refiner
 //!   (gain buckets, hill-climbing rollback), the default scheme.
 //! * [`io`] — METIS-compatible text format with a coordinate extension.

@@ -40,7 +40,7 @@
 use crate::coarsen::{coarsen_to_with_arena, LevelArena, MatchScheme};
 use crate::csr::CsrGraph;
 use crate::partitioner::{PartitionReport, Partitioner, PartitionerError};
-use crate::refine::{refine_kway, RefineOptions, RefineScheme};
+use crate::refine::{RefineOptions, RefineScheme};
 use std::sync::Mutex;
 
 /// Knobs of the V-cycle itself (the inner algorithm keeps its own).
@@ -160,90 +160,48 @@ impl Partitioner for MultilevelPartitioner {
                 &mut cold
             }
         };
-        arena.pfm.set_full_rescan(matches!(
-            self.config.refine_scheme,
-            RefineScheme::ParallelFmRescan
-        ));
-
         let levels = coarsen_to_with_arena(graph, target, seed, self.config.match_scheme, arena);
         let coarsest = levels.last().map_or(graph, |l| &l.coarse);
 
         let opts = &self.config.refine;
         let mut partition = self.inner.partition(coarsest, num_parts, seed)?.partition;
-        // The arena's FM workspaces serve every level of the uncoarsening
-        // (their buffers are sized once at the fine level and reused —
-        // and stay warm for the next call).
-        match self.config.refine_scheme {
-            RefineScheme::Sweep => {
-                refine_kway(coarsest, &mut partition, opts);
-            }
-            RefineScheme::BoundaryFm => {
-                arena.fm.refine(coarsest, &mut partition, opts, seed);
-            }
-            RefineScheme::ParallelFm | RefineScheme::ParallelFmRescan => {
-                arena.pfm.refine(coarsest, &mut partition, opts, seed);
-            }
-        }
+        // The arena's engine workspace serves every level of the
+        // uncoarsening (its buffers are sized once at the fine level and
+        // reused — and stay warm for the next call).
+        let refiner = arena.refiners.get(self.config.refine_scheme);
+        refiner.refine(coarsest, &mut partition, opts, seed);
 
         // Uncoarsen: project through each level, refining on the finer
-        // graph after every projection. For FM, the fine boundary after
-        // a projection is exactly the preimage of the coarse boundary
-        // (a cut fine edge maps to a cut coarse edge), and the engine's
-        // own [`FmRefiner::last_boundary_superset`] covers the coarse
-        // boundary after each refine — so each level masks that
-        // superset and projects through `project_for_fm`, one fused
-        // pass that also yields the boundary hint and the per-part
-        // loads/populations for the primed refiner. No O(V + E)
-        // boundary rediscovery, no O(V) re-tally, and supersets compose,
-        // so results are bit-identical to the unhinted engine
+        // graph after every projection. The fine boundary after a
+        // projection is exactly the preimage of the coarse boundary (a
+        // cut fine edge maps to a cut coarse edge), and the engine's own
+        // `last_boundary_superset` covers the coarse boundary after each
+        // refine — so each level masks that superset and projects
+        // through `project_for_fm`, one fused pass that also yields the
+        // boundary hint and the per-part loads/populations for the
+        // primed refiner. No O(V + E) boundary rediscovery, no O(V)
+        // re-tally, and supersets compose, so results are bit-identical
+        // to the unhinted engine
         // (`boundary_fm_fast_path_matches_the_unhinted_engine` pins it).
+        // The sweep reports no superset and ignores the hint.
         for (i, level) in levels.iter().enumerate().rev() {
             let fine = if i == 0 { graph } else { &levels[i - 1].coarse };
-            match self.config.refine_scheme {
-                RefineScheme::Sweep => {
-                    partition = level.project(&partition);
-                    refine_kway(fine, &mut partition, opts);
-                }
-                RefineScheme::BoundaryFm => {
-                    arena.mask.clear();
-                    arena.mask.resize(level.coarse.num_nodes(), false);
-                    for &v in arena.fm.last_boundary_superset() {
-                        arena.mask[v as usize] = true;
-                    }
-                    let projected = level.project_for_fm(&partition, fine, &arena.mask);
-                    partition = projected.partition;
-                    arena.fm.refine_primed(
-                        fine,
-                        &mut partition,
-                        opts,
-                        seed,
-                        &projected.hint,
-                        projected.loads,
-                        projected.counts,
-                    );
-                }
-                // The parallel engine honours the same boundary-superset
-                // contract, so it rides the identical fused fast path
-                // (in either eval-table mode).
-                RefineScheme::ParallelFm | RefineScheme::ParallelFmRescan => {
-                    arena.mask.clear();
-                    arena.mask.resize(level.coarse.num_nodes(), false);
-                    for &v in arena.pfm.last_boundary_superset() {
-                        arena.mask[v as usize] = true;
-                    }
-                    let projected = level.project_for_fm(&partition, fine, &arena.mask);
-                    partition = projected.partition;
-                    arena.pfm.refine_primed(
-                        fine,
-                        &mut partition,
-                        opts,
-                        seed,
-                        &projected.hint,
-                        projected.loads,
-                        projected.counts,
-                    );
-                }
+            arena.mask.clear();
+            arena.mask.resize(level.coarse.num_nodes(), false);
+            for &v in refiner.last_boundary_superset() {
+                arena.mask[v as usize] = true;
             }
+            let projected = level.project_for_fm(&partition, fine, &arena.mask);
+            partition = projected.partition;
+            refiner.refine_primed(
+                fine,
+                &mut partition,
+                opts,
+                seed,
+                &projected.hint,
+                projected.loads,
+                projected.counts,
+            );
         }
         Ok(PartitionReport::new(self.name, graph, partition))
     }
@@ -372,10 +330,11 @@ mod tests {
     fn parallel_fm_fast_path_matches_the_unhinted_engine() {
         // Same plumbing claim for the parallel engine: riding the fused
         // projection + boundary-superset chain must be bit-identical to
-        // projecting plainly and running a fresh, unhinted ParallelFm at
-        // every level.
+        // projecting plainly and running a fresh, unhinted full-rescan
+        // reference engine at every level.
         use crate::coarsen::coarsen_to;
         use crate::fm::ParallelFm;
+        use crate::refine::Refiner;
         let g = jittered_mesh(600, 21);
         let seed = 17;
         let ml = MultilevelPartitioner::with_config(
@@ -392,11 +351,11 @@ mod tests {
         let coarsest = levels.last().map_or(&g, |l| &l.coarse);
         let mut p = Blocks.partition(coarsest, 5, seed).unwrap().partition;
         let opts = crate::refine::RefineOptions::default();
-        ParallelFm::new().refine(coarsest, &mut p, &opts, seed);
+        ParallelFm::full_rescan().refine(coarsest, &mut p, &opts, seed);
         for (i, level) in levels.iter().enumerate().rev() {
             p = level.project(&p);
             let fine = if i == 0 { &g } else { &levels[i - 1].coarse };
-            ParallelFm::new().refine(fine, &mut p, &opts, seed);
+            ParallelFm::full_rescan().refine(fine, &mut p, &opts, seed);
         }
         assert_eq!(fast, p, "pfm fast path diverged from the reference V-cycle");
     }

@@ -40,6 +40,7 @@
 //! — bit-identical for any worker-pool size.
 
 use crate::csr::CsrGraph;
+use crate::fm::{FmRefiner, ParallelFm};
 use crate::partition::Partition;
 use rayon::prelude::*;
 
@@ -50,14 +51,14 @@ const SCAN_CHUNK: usize = 2048;
 
 /// Which refinement engine a caller (the multilevel V-cycle, the
 /// streaming session, the CLI's `--refine` flag) runs after each
-/// projection or batch. Callers dispatch on the variant themselves —
-/// the V-cycle and the streaming session keep a persistent
-/// [`crate::fm::FmRefiner`] workspace across calls, which a stateless
-/// dispatch function could not provide.
+/// projection or batch. [`RefinerSet::get`] maps a scheme to its warm
+/// [`Refiner`] workspace; the V-cycle and the streaming session each own
+/// one [`RefinerSet`], so engine buffers persist across levels, calls
+/// and batches.
 ///
-/// Both schemes share [`RefineOptions`], never increase the cut, respect
-/// the balance cap and the never-empty-a-part rule, report exact gains,
-/// and are bit-identical for any worker-pool size.
+/// Every scheme shares [`RefineOptions`], never increases the cut,
+/// respects the balance cap and the never-empty-a-part rule, reports
+/// exact gains, and is bit-identical for any worker-pool size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefineScheme {
     /// The frozen-gain greedy sweep in this module ([`refine_kway`]):
@@ -81,36 +82,207 @@ pub enum RefineScheme {
     /// incrementally repaired evaluation table (`O(touched)` per round
     /// instead of `O(boundary)`).
     ParallelFm,
-    /// The full-rescan reference build of the parallel boundary FM
-    /// ([`crate::fm::ParallelFm::full_rescan`]): re-evaluates the whole
-    /// candidate list every round instead of repairing the table
-    /// incrementally. Bit-identical output to
-    /// [`RefineScheme::ParallelFm`] at the pre-incremental cost profile
-    /// — exists so tests and the CI determinism matrix can pin the
-    /// equivalence at pipeline level, not as a production engine.
-    ParallelFmRescan,
 }
 
 impl RefineScheme {
-    /// CLI name of the scheme (`sweep` / `fm` / `pfm` / `pfm-rescan`).
+    /// CLI name of the scheme (`sweep` / `fm` / `pfm`).
     pub fn name(self) -> &'static str {
         match self {
             RefineScheme::Sweep => "sweep",
             RefineScheme::BoundaryFm => "fm",
             RefineScheme::ParallelFm => "pfm",
-            RefineScheme::ParallelFmRescan => "pfm-rescan",
         }
     }
 
-    /// Resolves a CLI name (`sweep` / `fm` / `pfm` / `pfm-rescan`);
-    /// `None` for unknown names.
+    /// Resolves a CLI name (`sweep` / `fm` / `pfm`); `None` for unknown
+    /// names.
     pub fn by_name(name: &str) -> Option<Self> {
         match name {
             "sweep" => Some(RefineScheme::Sweep),
             "fm" => Some(RefineScheme::BoundaryFm),
             "pfm" => Some(RefineScheme::ParallelFm),
-            "pfm-rescan" => Some(RefineScheme::ParallelFmRescan),
             _ => None,
+        }
+    }
+}
+
+/// A k-way refinement engine: one workspace that refines a partition in
+/// place and may keep its buffers warm across calls.
+///
+/// Implementors supply [`Refiner::run`]; callers use the provided entry
+/// points, which check their node lists against the graph once for every
+/// engine. All entry points share one contract: the cut never grows, the
+/// reported gain is the exact cut reduction, a move keeps its destination
+/// within `(1 + balance_slack) × avg` load, and no move empties its
+/// source part.
+pub trait Refiner {
+    /// The engine itself. `region`, when given, is the sorted,
+    /// duplicate-free, in-range set of vertices allowed to move (loads
+    /// stay global); otherwise every vertex may move. `hint`, when given,
+    /// is an in-range superset of the cut boundary that the first pass
+    /// scans instead of the whole graph. `primed` carries the partition's
+    /// exact per-part loads and populations so the engine skips its own
+    /// tally. `hint` and `primed` only save work: an engine may ignore
+    /// them, and none may change its result because of them. `seed`
+    /// drives seeded tie-breaking (the sweep ignores it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` covers a different number of nodes than
+    /// `graph`.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        graph: &CsrGraph,
+        partition: &mut Partition,
+        opts: &RefineOptions,
+        seed: u64,
+        region: Option<&[u32]>,
+        hint: Option<&[u32]>,
+        primed: Option<(Vec<u64>, Vec<usize>)>,
+    ) -> RefineStats;
+
+    /// A superset of the cut boundary the last call on this workspace
+    /// left behind (empty when the engine does not track one). Valid for
+    /// the graph/partition of that call until the next one.
+    ///
+    /// The multilevel V-cycle masks this instead of re-scanning the
+    /// coarse graph before each projection: supersets compose, so hints
+    /// built from it stay supersets of the fine boundary.
+    fn last_boundary_superset(&self) -> &[u32];
+
+    /// Refinement over the whole graph: every vertex is a candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` covers a different number of nodes than
+    /// `graph`.
+    fn refine(
+        &mut self,
+        graph: &CsrGraph,
+        partition: &mut Partition,
+        opts: &RefineOptions,
+        seed: u64,
+    ) -> RefineStats {
+        self.run(graph, partition, opts, seed, None, None, None)
+    }
+
+    /// The multilevel fast path: [`Refiner::refine`] with a boundary
+    /// `hint` (every vertex on the cut boundary, possibly more, duplicates
+    /// tolerated) and the partition's per-part `loads` and `counts`.
+    /// [`crate::coarsen::Coarsening::project_for_fm`] produces all three
+    /// in the projection pass itself, so an uncoarsening level runs no
+    /// boundary rediscovery and no re-tally. Moves are not restricted to
+    /// the hint, and the result is bit-identical to [`Refiner::refine`].
+    /// The caller owns the superset argument and the exactness of the
+    /// tallies (debug-asserted by the FM engines).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` covers a different number of nodes than
+    /// `graph`, or if `hint` contains a node id `≥ graph.num_nodes()`.
+    #[allow(clippy::too_many_arguments)]
+    fn refine_primed(
+        &mut self,
+        graph: &CsrGraph,
+        partition: &mut Partition,
+        opts: &RefineOptions,
+        seed: u64,
+        hint: &[u32],
+        loads: Vec<u64>,
+        counts: Vec<usize>,
+    ) -> RefineStats {
+        if let Some(&max) = hint.iter().max() {
+            assert!(
+                (max as usize) < graph.num_nodes(),
+                "hint node {max} out of range"
+            );
+        }
+        self.run(
+            graph,
+            partition,
+            opts,
+            seed,
+            None,
+            Some(hint),
+            Some((loads, counts)),
+        )
+    }
+
+    /// Localized refinement: only vertices in `region` (deduplicated;
+    /// order irrelevant) may move. Loads and part populations are still
+    /// global, so the balance and never-empty-a-part rules hold for the
+    /// whole partition. This is the streaming workhorse: after a
+    /// mutation batch only the dirty frontier is re-examined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` covers a different number of nodes than
+    /// `graph`, or if `region` contains a node id `≥ graph.num_nodes()`.
+    fn refine_local(
+        &mut self,
+        graph: &CsrGraph,
+        partition: &mut Partition,
+        opts: &RefineOptions,
+        seed: u64,
+        region: &[u32],
+    ) -> RefineStats {
+        let mut nodes: Vec<u32> = region.to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
+        if let Some(&last) = nodes.last() {
+            assert!(
+                (last as usize) < graph.num_nodes(),
+                "region node {last} out of range"
+            );
+        }
+        self.run(graph, partition, opts, seed, Some(&nodes), None, None)
+    }
+}
+
+/// The frozen-gain sweep as a [`Refiner`]: stateless, seed-free, and
+/// blind to boundary hints and primed tallies (it scans every candidate
+/// and tallies loads itself), so it reports no boundary superset.
+#[derive(Default)]
+struct SweepRefiner;
+
+impl Refiner for SweepRefiner {
+    fn run(
+        &mut self,
+        graph: &CsrGraph,
+        partition: &mut Partition,
+        opts: &RefineOptions,
+        _seed: u64,
+        region: Option<&[u32]>,
+        _hint: Option<&[u32]>,
+        _primed: Option<(Vec<u64>, Vec<usize>)>,
+    ) -> RefineStats {
+        sweep_region(graph, partition, opts, region)
+    }
+
+    fn last_boundary_superset(&self) -> &[u32] {
+        &[]
+    }
+}
+
+/// One warm workspace per [`RefineScheme`]. The multilevel V-cycle's
+/// [`crate::coarsen::LevelArena`] and each streaming session own one, so
+/// engine buffers are sized once and reused across levels, calls and
+/// batches.
+#[derive(Default)]
+pub struct RefinerSet {
+    sweep: SweepRefiner,
+    fm: FmRefiner,
+    pfm: ParallelFm,
+}
+
+impl RefinerSet {
+    /// The engine `scheme` names.
+    pub fn get(&mut self, scheme: RefineScheme) -> &mut dyn Refiner {
+        match scheme {
+            RefineScheme::Sweep => &mut self.sweep,
+            RefineScheme::BoundaryFm => &mut self.fm,
+            RefineScheme::ParallelFm => &mut self.pfm,
         }
     }
 }
@@ -190,16 +362,7 @@ pub fn refine_kway_local(
     opts: &RefineOptions,
     region: &[u32],
 ) -> RefineStats {
-    let mut nodes: Vec<u32> = region.to_vec();
-    nodes.sort_unstable();
-    nodes.dedup();
-    if let Some(&last) = nodes.last() {
-        assert!(
-            (last as usize) < graph.num_nodes(),
-            "region node {last} out of range"
-        );
-    }
-    sweep_region(graph, partition, opts, Some(&nodes))
+    SweepRefiner.refine_local(graph, partition, opts, 0, region)
 }
 
 /// Shared sweep core: `region = None` means every vertex, otherwise a

@@ -10,7 +10,7 @@
 use gapart_graph::builder::GraphBuilder;
 use gapart_graph::fm::{refine_fm, refine_fm_local, FmRefiner};
 use gapart_graph::partition::{cut_size, Partition, PartitionMetrics};
-use gapart_graph::refine::{refine_kway, RefineOptions, RefineStats};
+use gapart_graph::refine::{refine_kway, RefineOptions, RefineStats, Refiner};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

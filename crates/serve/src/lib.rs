@@ -573,6 +573,11 @@ mod tests {
     #[test]
     fn open_rejects_bad_specs_and_missing_graphs() {
         let dir = temp_dir("badopen");
+        // A header claiming ~10^11 nodes: loading it must fail typed,
+        // not abort the daemon on allocation.
+        let huge = dir.join("huge.metis");
+        std::fs::write(&huge, "99999999999 0\n").unwrap();
+        let open_huge = format!("open s1 graph={} parts=2", huge.display());
         let mut d = Daemon::new(ServeConfig::new(dir.join("tapes")), resolve).unwrap();
         for (line, kind) in [
             ("open s1 parts=4", "protocol"),              // no graph=, no tape
@@ -580,6 +585,8 @@ mod tests {
             ("open s1 graph=nope.metis", "spec"),         // parts missing
             ("open s1 graph=nope.metis parts=0", "spec"), // parts invalid
             ("open s1 graph=nope.metis parts=2 frob=1", "spec"),
+            ("open s1 graph=nope.metis parts=2 refine=pfm-rescan", "spec"),
+            (open_huge.as_str(), "state"),
             ("mutate s1 edge 0 1 1", "protocol"), // not open
             ("mutate s1 frob 1", "protocol"),     // bad wire op
         ] {
@@ -591,6 +598,7 @@ mod tests {
                 "{line} -> {reply}"
             );
         }
+        assert_eq!(d.execute("sessions").0, "ok sessions=0 names=");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -133,17 +133,15 @@ USAGE:
   gapart-cli partition GRAPH.metis --parts P
              [--method dpga|ga|rsb|ibp|mldpga|mlga|mlrsb|mlibp]
              [--fitness total|worst] [--gens G] [--pop SIZE] [--seed S]
-             [--refine fm|pfm|pfm-rescan|sweep] [--coords G.xy]
+             [--refine fm|pfm|sweep] [--coords G.xy]
              [--out labels.part] [--svg view.svg]
              (ml* methods are the multilevel V-cycle; mlga/mldpga honour
               --fitness and default --gens/--pop to the coarse-level
               sizing, applying them only when given explicitly.
               --refine picks the per-level refinement engine of the ml*
               methods: the boundary FM refiner with gain buckets, the
-              default; its parallel colored-batch variant, pfm;
-              pfm-rescan, the same engine rebuilding its gain table
-              every round — the bit-identical reference for pfm's
-              incremental rounds; or the frozen-gain greedy sweep)
+              default; its parallel colored-batch variant, pfm; or
+              the frozen-gain greedy sweep)
   gapart-cli eval GRAPH.metis LABELS.part --parts P [--coords G.xy]
              [--svg view.svg]
   gapart-cli grow GRAPH.metis --coords G.xy --add K [--seed S]
@@ -155,7 +153,7 @@ USAGE:
              (mesh-growth needs --coords; ops is mutations per batch)
   gapart-cli stream GRAPH.metis --trace trace.txt --parts P
              [--coords G.xy] [--method mlga|mldpga|mlrsb|...]
-             [--refine fm|pfm|pfm-rescan|sweep] [--threshold 1.5]
+             [--refine fm|pfm|sweep] [--threshold 1.5]
              [--hops 2] [--seed S]
              [--labels-out labels.part] [--graph-out final.metis]
              [--coords-out final.xy]
@@ -259,9 +257,8 @@ pub fn labels_from_text(text: &str, num_parts: u32) -> Result<Partition, CliErro
 fn parse_refine(args: &Args) -> Result<RefineScheme, CliError> {
     match args.flag("refine") {
         None => Ok(RefineScheme::default()),
-        Some(s) => RefineScheme::by_name(s).ok_or_else(|| {
-            CliError::Usage(format!("--refine {s}: expected fm|pfm|pfm-rescan|sweep"))
-        }),
+        Some(s) => RefineScheme::by_name(s)
+            .ok_or_else(|| CliError::Usage(format!("--refine {s}: expected fm|pfm|sweep"))),
     }
 }
 

@@ -139,7 +139,6 @@ mod tests {
                 RefineScheme::Sweep,
                 RefineScheme::BoundaryFm,
                 RefineScheme::ParallelFm,
-                RefineScheme::ParallelFmRescan,
             ] {
                 let p = by_name_with(name, scheme).unwrap();
                 assert_eq!(p.name(), name);

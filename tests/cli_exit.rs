@@ -28,6 +28,34 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn the_full_rescan_engine_is_not_a_refine_value() {
+    // The full-rescan FM is a test reference, not a `--refine` engine.
+    let dir = std::env::temp_dir().join(format!("gapart-refine-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let g = dir.join("g.metis");
+    let gs = g.to_str().unwrap();
+    let ok = cli()
+        .args(["gen", "--kind", "gnp", "--nodes", "20", "--out", gs])
+        .output()
+        .unwrap();
+    assert!(ok.status.success());
+    let trace = dir.join("empty.trace");
+    std::fs::write(&trace, "").unwrap();
+    for cmd in ["partition", "stream"] {
+        let out = cli()
+            .args([cmd, gs, "--parts", "2", "--method", "mlga"])
+            .args(["--trace", trace.to_str().unwrap(), "--refine", "pfm-rescan"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--refine pfm-rescan"), "{cmd}: {err}");
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn failed_operations_exit_1_without_panicking() {
     let dir = std::env::temp_dir().join(format!("gapart-exit-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -57,6 +85,19 @@ fn failed_operations_exit_1_without_panicking() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("out of range"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+
+    // A header claiming ~10^11 nodes: a parse error (exit 1), not an
+    // allocation abort (exit 134).
+    let huge = dir.join("huge.metis");
+    std::fs::write(&huge, "99999999999 0\n").unwrap();
+    let out = cli()
+        .args(["info", huge.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("expected 99999999999 vertex lines"), "{err}");
+    assert!(!err.contains("memory allocation"), "{err}");
 
     // mesh-growth trace generation on a coordinate-less graph: exit 1
     // with the typed MissingCoordinates message.
